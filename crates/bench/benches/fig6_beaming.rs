@@ -8,7 +8,7 @@
 //! host links where filtering costs host CPU; disaggregated = DPI-class
 //! links with NIC-offloaded filter flows). Bandwidths are scaled so the
 //! baseline probe transfer sits near the paper's ~30 ms; see DESIGN.md §2
-//! and EXPERIMENTS.md for the constants.
+//! for the constants.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -3,7 +3,7 @@
 //! Shared helpers for the figure-regeneration harnesses and ablation
 //! benches. Each `benches/*.rs` target regenerates one figure (or one
 //! ablation) of the paper and prints the same rows/series the paper
-//! reports; `EXPERIMENTS.md` records paper-vs-measured side by side.
+//! reports.
 
 use std::time::Duration;
 
@@ -75,17 +75,33 @@ pub fn write_flat_json(path: &std::path::Path, pairs: &[(String, f64)]) {
 }
 
 /// Resolves where a bench writes its JSON: the `env_var` override when
-/// set (local experiments), else `file_name` at the repo root (where CI's
-/// bench gate and artifact upload expect it).
+/// set (local experiments), else `file_name` at the root of the
+/// workspace the bench runs in (where CI's bench gate and artifact
+/// upload expect it).
+///
+/// The root is found at run time from the current directory (cargo runs
+/// benches from their package directory), so a copied tree that reuses
+/// another checkout's build writes into its own root.
 pub fn bench_json_path(env_var: &str, file_name: &str) -> std::path::PathBuf {
     std::env::var(env_var).map_or_else(
         |_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(file_name)
+            let cwd = std::env::current_dir().expect("current directory is readable");
+            workspace_root(&cwd).join(file_name)
         },
         std::path::PathBuf::from,
     )
+}
+
+/// The nearest directory at or above `from` whose `Cargo.toml` declares
+/// a `[workspace]`; `from` itself when there is none.
+fn workspace_root(from: &std::path::Path) -> std::path::PathBuf {
+    from.ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .unwrap_or(from)
+        .to_path_buf()
 }
 
 /// Measures wall-clock host parallel efficiency: ratio of 2-thread to
@@ -124,6 +140,18 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(ms(Duration::from_millis(12)), "12.00");
         assert_eq!(mtps(2_500_000.0), "2.50");
+    }
+
+    #[test]
+    fn workspace_root_is_found_from_a_member_directory() {
+        let tmp = std::env::temp_dir().join(format!("anydb-bench-root-{}", std::process::id()));
+        let member = tmp.join("crates/bench");
+        std::fs::create_dir_all(&member).unwrap();
+        std::fs::write(tmp.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        std::fs::write(member.join("Cargo.toml"), "[package]\nname = \"x\"\n").unwrap();
+        assert_eq!(workspace_root(&member), tmp);
+        assert_eq!(workspace_root(&tmp), tmp);
+        std::fs::remove_dir_all(&tmp).unwrap();
     }
 
     #[test]

@@ -51,10 +51,10 @@ use anydb_storage::recovery::{replay_records, RecoveryStats};
 use anydb_storage::store::Partitioner;
 use anydb_storage::wal::{LogOp, LogRecord};
 use anydb_storage::{Store, Wal};
-use anydb_stream::link::{DeadlineRecv, LinkReceiver, LinkSender, LinkSpec, SimLink};
+use anydb_stream::link::{DeadlineRecv, LinkReceiver, LinkSender, LinkSpec, RecvState, SimLink};
 use bytes::Bytes;
 use crossbeam::channel::Sender as ChanSender;
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, Select, TryRecvError};
 
 use crate::event::{Completion, CompletionBatcher, DoneSender, OpDone};
 
@@ -283,6 +283,74 @@ pub(crate) struct FollowerSlot {
     pub(crate) dead: bool,
 }
 
+/// How a node loop sleeps when an iteration made no progress: on one
+/// waker shared by every inbound link it drains, and on its client-op
+/// channel, instead of a fixed nap (DESIGN.md §12). Shared with the
+/// shard tier.
+pub(crate) struct Wakeup {
+    waker: ChanSender<()>,
+    wake: Receiver<()>,
+    /// Earliest modeled delivery of a frame seen in flight this
+    /// iteration: the park must not sleep past it.
+    in_flight: Option<Instant>,
+}
+
+impl Wakeup {
+    pub(crate) fn new() -> Self {
+        let (waker, wake) = bounded(1);
+        Self {
+            waker,
+            wake,
+            in_flight: None,
+        }
+    }
+
+    /// Makes every later push onto `rx` ring this loop's waker. Call it
+    /// before the loop next drains `rx`.
+    pub(crate) fn watch(&self, rx: &mut LinkReceiver<Bytes>) {
+        rx.set_waker(self.waker.clone());
+    }
+
+    /// Starts an iteration, before any input is drained: consumes the
+    /// pending ring, so every push from here on rings afresh, and
+    /// forgets the last iteration's in-flight frames.
+    pub(crate) fn rearm(&mut self) {
+        let _ = self.wake.try_recv();
+        self.in_flight = None;
+    }
+
+    /// The next deliverable frame on `rx`; notes the delivery time of a
+    /// frame still in flight.
+    pub(crate) fn next_frame(&mut self, rx: &mut LinkReceiver<Bytes>) -> Option<Bytes> {
+        match rx.try_recv() {
+            Ok(frame) => Some(frame),
+            Err(RecvState::NotReady(at)) => {
+                self.in_flight = Some(self.in_flight.map_or(at, |t| t.min(at)));
+                None
+            }
+            Err(_) => None,
+        }
+    }
+
+    /// Parks an idle iteration until a watched link rings, a client op
+    /// is queued on `ops`, the earliest in-flight frame lands, or `nap`
+    /// passes. `nap` is the loop's timer resolution (retransmits,
+    /// heartbeats, leases), so timers fire exactly as often as with a
+    /// fixed nap. Pass `ops` only while it is open: a disconnected
+    /// channel is always ready.
+    pub(crate) fn park<T>(&self, ops: Option<&Receiver<T>>, nap: Duration) {
+        let timeout = self.in_flight.map_or(nap, |at| {
+            nap.min(at.saturating_duration_since(Instant::now()))
+        });
+        let mut sel = Select::new();
+        sel.recv(&self.wake);
+        if let Some(ops) = ops {
+            sel.recv(ops);
+        }
+        let _ = sel.ready_timeout(timeout);
+    }
+}
+
 /// Ships `records` to one follower as [`ReplMsg::Records`] frames,
 /// chunked at transaction boundaries so every frame replays standalone.
 /// Returns `false` if the link died. Shared with the shard tier, whose
@@ -342,6 +410,8 @@ pub fn run_primary(
     let mut batcher = CompletionBatcher::new();
     let mut last_beat = Instant::now();
     let mut ops_open = true;
+    let mut wakeup = Wakeup::new();
+    let nap = cfg.heartbeat_every / 8;
     loop {
         if crash.load(Ordering::Relaxed) {
             // Crash semantics: vanish mid-stride. Pending acks are never
@@ -349,8 +419,10 @@ pub fn run_primary(
             return PrimaryExit::Crashed;
         }
         let mut progressed = false;
+        wakeup.rearm();
 
-        while let Ok(end) = joins.try_recv() {
+        while let Ok(mut end) = joins.try_recv() {
+            wakeup.watch(&mut end.rx);
             followers.push(FollowerSlot {
                 tx: end.tx,
                 rx: end.rx,
@@ -363,7 +435,7 @@ pub fn run_primary(
         // Drain follower messages: acks move the watermark, catch-up
         // requests get the WAL tail.
         for slot in followers.iter_mut() {
-            while let Ok(frame) = slot.rx.try_recv() {
+            while let Some(frame) = wakeup.next_frame(&mut slot.rx) {
                 progressed = true;
                 match ReplMsg::decode(&frame) {
                     Ok(ReplMsg::Ack { lsn }) => {
@@ -512,8 +584,9 @@ pub fn run_primary(
             return PrimaryExit::Stopped;
         }
         if !progressed {
-            // Nothing to do: nap well under the heartbeat cadence.
-            std::thread::sleep(cfg.heartbeat_every / 8);
+            // Nothing to do: park until input arrives, at most a nap
+            // well under the heartbeat cadence.
+            wakeup.park(ops_open.then_some(ops), nap);
         }
     }
 }
@@ -834,6 +907,12 @@ mod tests {
         let t = fresh.table(REPL_TABLE).unwrap();
         assert_eq!(t.row_count(), 2);
         assert_eq!(fresh_wal.next_lsn(), 4);
+        // The mirror keeps the log's LSN order: every tail is the
+        // contiguous suffix a catch-up would ship.
+        for k in 0..=5u64 {
+            let lsns: Vec<u64> = fresh_wal.tail_from(k).iter().map(|r| r.lsn).collect();
+            assert_eq!(lsns, (k.min(4)..4).collect::<Vec<_>>());
+        }
         // The truncated tail is gone: slot 2 is free for the new
         // primary's history.
         assert!(t

@@ -74,7 +74,7 @@ use crossbeam::channel::Sender as ChanSender;
 use crossbeam::channel::{Receiver, TryRecvError};
 
 use crate::event::{Completion, CompletionBatcher, DoneSender, OpDone};
-use crate::replica::{ship_records, FollowerSlot, PrimaryEnd, ReplConfig, ReplMetrics};
+use crate::replica::{ship_records, FollowerSlot, PrimaryEnd, ReplConfig, ReplMetrics, Wakeup};
 
 /// Warehouse → shard-node placement by jump consistent hash
 /// (Lamport/Veach): no table to ship around, even spread, and growing
@@ -1041,6 +1041,10 @@ impl ShardNode {
         let nap = (self.cfg.retransmit_every / 8)
             .min(self.cfg.repl.heartbeat_every / 8)
             .max(Duration::from_micros(100));
+        let mut wakeup = Wakeup::new();
+        for p in peers.iter_mut() {
+            wakeup.watch(&mut p.rx);
+        }
         let exit = 'term: loop {
             if crash.load(Ordering::Relaxed) {
                 // Crash semantics: vanish mid-stride. Gated sends and
@@ -1052,16 +1056,19 @@ impl ShardNode {
                 break 'term NodeExit::Stopped;
             }
             let mut progressed = false;
+            wakeup.rearm();
 
-            while let Ok(end) = peer_joins.try_recv() {
+            while let Ok(mut end) = peer_joins.try_recv() {
                 progressed = true;
+                wakeup.watch(&mut end.rx);
                 match peers.iter_mut().position(|p| p.node == end.node) {
                     Some(i) => peers[i] = end,
                     None => peers.push(end),
                 }
             }
-            while let Ok(end) = repl_joins.try_recv() {
+            while let Ok(mut end) = repl_joins.try_recv() {
                 progressed = true;
+                wakeup.watch(&mut end.rx);
                 followers.push(FollowerSlot {
                     tx: end.tx,
                     rx: end.rx,
@@ -1073,7 +1080,7 @@ impl ShardNode {
             // Follower frames: acks move the watermark, catch-up
             // requests get the WAL tail (same protocol as run_primary).
             for slot in followers.iter_mut() {
-                while let Ok(frame) = slot.rx.try_recv() {
+                while let Some(frame) = wakeup.next_frame(&mut slot.rx) {
                     progressed = true;
                     match ReplMsg::decode(&frame) {
                         Ok(ReplMsg::Ack { lsn }) => {
@@ -1112,7 +1119,7 @@ impl ShardNode {
             // sender's retransmission timer repairs the loss.
             for peer in peers.iter_mut() {
                 let from = peer.node;
-                while let Ok(frame) = peer.rx.try_recv() {
+                while let Some(frame) = wakeup.next_frame(&mut peer.rx) {
                     progressed = true;
                     match CommitMsg::decode(&frame) {
                         Ok(msg) => self.handle_msg(from, msg, &mut ctx),
@@ -1261,7 +1268,7 @@ impl ShardNode {
                 break 'term NodeExit::Stopped;
             }
             if !progressed {
-                std::thread::sleep(nap);
+                wakeup.park(ops_open.then_some(ops), nap);
             }
         };
         // Harvest each outbound link's fault stats into the node's

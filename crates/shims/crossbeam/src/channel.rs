@@ -2,8 +2,9 @@
 //!
 //! Mutex + condvar implementation covering exactly what AnyDB calls:
 //! `unbounded`/`bounded` constructors, cloneable senders and receivers,
-//! `send`, `recv`, `try_recv`, `recv_timeout`, `same_channel`, and
-//! disconnect detection on both sides.
+//! `send`, `try_send`, `recv`, `try_recv`, `recv_timeout`,
+//! `same_channel`, disconnect detection on both sides, and the receive
+//! half of [`Select`] (`new`, `recv`, `ready_timeout`).
 //!
 //! One deliberate extension beyond the real crate's API:
 //! [`Receiver::try_recv_many`], a bulk non-blocking receive that moves a
@@ -21,6 +22,20 @@ use std::time::{Duration, Instant};
 /// Error returned by [`Sender::send`] when all receivers are gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
+
+/// Error returned by [`Sender::try_send`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrySendError<T> {
+    /// A bounded channel is at capacity.
+    Full(T),
+    /// Every receiver has been dropped.
+    Disconnected(T),
+}
+
+/// Error returned by [`Select::ready_timeout`] when no watched channel
+/// became ready in time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadyTimeoutError;
 
 /// Error returned by [`Receiver::recv`] when the channel is empty and all
 /// senders are gone.
@@ -52,11 +67,47 @@ struct Shared<T> {
     cap: Option<usize>,
     senders: AtomicUsize,
     receivers: AtomicUsize,
+    /// How many [`Select`]s are watching: a send with none pays this one
+    /// load and never touches `selectors`.
+    selecting: AtomicUsize,
+    selectors: Mutex<Vec<Arc<Signal>>>,
 }
 
 impl<T> Shared<T> {
     fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wakes every watching [`Select`]. Called after the queue lock is
+    /// released: a selector registers before it takes the queue lock to
+    /// check readiness, so either it saw the new state or this load sees
+    /// its registration.
+    #[inline]
+    fn notify_selectors(&self) {
+        if self.selecting.load(Ordering::SeqCst) > 0 {
+            for s in self
+                .selectors
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+            {
+                s.notify();
+            }
+        }
+    }
+}
+
+/// One parked [`Select`]'s wake flag.
+#[derive(Default)]
+struct Signal {
+    ready: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Signal {
+    fn notify(&self) {
+        *self.ready.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.cv.notify_one();
     }
 }
 
@@ -89,6 +140,8 @@ fn channel<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         cap,
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
+        selecting: AtomicUsize::new(0),
+        selectors: Mutex::new(Vec::new()),
     });
     (
         Sender {
@@ -122,6 +175,25 @@ impl<T> Sender<T> {
         queue.push_back(value);
         drop(queue);
         shared.not_empty.notify_one();
+        shared.notify_selectors();
+        Ok(())
+    }
+
+    /// Sends without blocking: fails with `Full` when a bounded channel
+    /// is at capacity, `Disconnected` when every receiver is gone.
+    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+        let shared = &*self.shared;
+        let mut queue = shared.lock();
+        if shared.receivers.load(Ordering::Acquire) == 0 {
+            return Err(TrySendError::Disconnected(value));
+        }
+        if shared.cap.is_some_and(|cap| queue.len() >= cap) {
+            return Err(TrySendError::Full(value));
+        }
+        queue.push_back(value);
+        drop(queue);
+        shared.not_empty.notify_one();
+        shared.notify_selectors();
         Ok(())
     }
 
@@ -145,6 +217,11 @@ impl<T> Drop for Sender<T> {
         if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Wake receivers so they observe the disconnect.
             self.shared.not_empty.notify_all();
+            // Pass through the queue lock first, as a send does: a
+            // selector checks readiness under it, so it either sees the
+            // disconnect or is registered before the load below.
+            drop(self.shared.lock());
+            self.shared.notify_selectors();
         }
     }
 }
@@ -260,6 +337,103 @@ impl<T> Drop for Receiver<T> {
     }
 }
 
+/// Type-erased view of a receiver for [`Select`].
+trait Watch {
+    /// A message is queued, or every sender is gone (a receive would not
+    /// block).
+    fn is_ready(&self) -> bool;
+    fn watch(&self, signal: &Arc<Signal>);
+    fn unwatch(&self, signal: &Arc<Signal>);
+}
+
+impl<T> Watch for Receiver<T> {
+    fn is_ready(&self) -> bool {
+        !self.shared.lock().is_empty() || self.shared.senders.load(Ordering::Acquire) == 0
+    }
+
+    fn watch(&self, signal: &Arc<Signal>) {
+        let mut selectors = self
+            .shared
+            .selectors
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        selectors.push(signal.clone());
+        self.shared.selecting.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn unwatch(&self, signal: &Arc<Signal>) {
+        let mut selectors = self
+            .shared
+            .selectors
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(i) = selectors.iter().position(|s| Arc::ptr_eq(s, signal)) {
+            selectors.swap_remove(i);
+            self.shared.selecting.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Waits until one of several receivers is ready — crossbeam's `Select`,
+/// receive operations only.
+///
+/// Readiness means a receive would not block: a message is queued or
+/// every sender is gone (a disconnected channel is always ready, as in
+/// crossbeam). The caller then performs the receive itself.
+#[derive(Default)]
+pub struct Select<'a> {
+    handles: Vec<&'a dyn Watch>,
+}
+
+impl<'a> Select<'a> {
+    /// An empty selector.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds a receive operation on `r`; returns its index.
+    pub fn recv<T>(&mut self, r: &'a Receiver<T>) -> usize {
+        self.handles.push(r);
+        self.handles.len() - 1
+    }
+
+    /// Blocks until a watched receiver is ready or `timeout` elapses;
+    /// returns the ready operation's index (the lowest, if several are).
+    pub fn ready_timeout(&mut self, timeout: Duration) -> Result<usize, ReadyTimeoutError> {
+        let deadline = Instant::now() + timeout;
+        let signal = Arc::new(Signal::default());
+        // Register before the first readiness check: a send either lands
+        // before the check (seen) or finds the registration (rings).
+        for h in &self.handles {
+            h.watch(&signal);
+        }
+        let ready = loop {
+            if let Some(i) = self.handles.iter().position(|h| h.is_ready()) {
+                break Ok(i);
+            }
+            let mut flag = signal.ready.lock().unwrap_or_else(PoisonError::into_inner);
+            while !*flag {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
+                }
+                flag = signal
+                    .cv
+                    .wait_timeout(flag, deadline - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            if !std::mem::take(&mut *flag) {
+                break Err(ReadyTimeoutError);
+            }
+        };
+        for h in &self.handles {
+            h.unwatch(&signal);
+        }
+        ready
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,6 +518,92 @@ mod tests {
         let (other, _orx) = unbounded::<u8>();
         assert!(tx.same_channel(&tx2));
         assert!(!tx.same_channel(&other));
+    }
+
+    #[test]
+    fn try_send_reports_full_and_disconnected() {
+        let (tx, rx) = bounded::<u8>(1);
+        assert_eq!(tx.try_send(1), Ok(()));
+        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
+        assert_eq!(rx.recv(), Ok(1));
+        drop(rx);
+        assert_eq!(tx.try_send(3), Err(TrySendError::Disconnected(3)));
+    }
+
+    #[test]
+    fn select_returns_the_ready_index() {
+        let (_atx, arx) = unbounded::<u8>();
+        let (btx, brx) = unbounded::<u8>();
+        btx.send(7).unwrap();
+        let mut sel = Select::new();
+        assert_eq!(sel.recv(&arx), 0);
+        assert_eq!(sel.recv(&brx), 1);
+        assert_eq!(sel.ready_timeout(Duration::from_secs(5)), Ok(1));
+        assert_eq!(brx.try_recv(), Ok(7));
+    }
+
+    #[test]
+    fn select_times_out_when_all_empty() {
+        let (_atx, arx) = unbounded::<u8>();
+        let (_btx, brx) = bounded::<u8>(1);
+        let mut sel = Select::new();
+        sel.recv(&arx);
+        sel.recv(&brx);
+        let start = Instant::now();
+        assert_eq!(
+            sel.ready_timeout(Duration::from_millis(20)),
+            Err(ReadyTimeoutError)
+        );
+        assert!(start.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn select_counts_disconnected_as_ready() {
+        let (_atx, arx) = unbounded::<u8>();
+        let (btx, brx) = unbounded::<u8>();
+        drop(btx);
+        let mut sel = Select::new();
+        sel.recv(&arx);
+        sel.recv(&brx);
+        assert_eq!(sel.ready_timeout(Duration::from_secs(5)), Ok(1));
+        assert_eq!(brx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn select_wakes_on_a_later_send_and_disconnect() {
+        let (tx, rx) = unbounded::<u8>();
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(1).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            drop(tx);
+        });
+        let start = Instant::now();
+        let mut sel = Select::new();
+        sel.recv(&rx);
+        assert_eq!(sel.ready_timeout(Duration::from_secs(10)), Ok(0));
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(sel.ready_timeout(Duration::from_secs(10)), Ok(0));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        assert!(start.elapsed() < Duration::from_secs(5));
+        h.join().unwrap();
+        // Every selector deregistered on the way out.
+        assert_eq!(rx.shared.selecting.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_ring_before_the_wait_is_not_lost() {
+        // A bounded(1) doorbell rung before anyone waits keeps its ring:
+        // the next select returns at once instead of sleeping it out.
+        let (bell, wake) = bounded::<()>(1);
+        assert_eq!(bell.try_send(()), Ok(()));
+        assert_eq!(bell.try_send(()), Err(TrySendError::Full(())));
+        let start = Instant::now();
+        let mut sel = Select::new();
+        sel.recv(&wake);
+        assert_eq!(sel.ready_timeout(Duration::from_secs(10)), Ok(0));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert_eq!(wake.try_recv(), Ok(()));
     }
 
     #[test]

@@ -25,6 +25,10 @@ use parking_lot::Mutex;
 pub use anydb_common::repl::{LogOp, LogRecord};
 
 /// An append-only, thread-safe write-ahead log.
+///
+/// Invariant: `records` is strictly LSN-ordered. Appends assign the LSN
+/// and push under the same lock, and shipped records are only ever
+/// appended past the current tail, so readers never sort.
 #[derive(Default)]
 pub struct Wal {
     records: Mutex<Vec<LogRecord>>,
@@ -39,8 +43,9 @@ impl Wal {
 
     /// Appends one record, returning its LSN.
     pub fn append(&self, txn: TxnId, op: LogOp) -> u64 {
+        let mut records = self.records.lock();
         let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
-        self.records.lock().push(LogRecord { lsn, txn, op });
+        records.push(LogRecord { lsn, txn, op });
         lsn
     }
 
@@ -61,49 +66,42 @@ impl Wal {
         self.next_lsn.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of all records ordered by LSN. (Appends are racy relative
-    /// to each other but each record is atomic; recovery runs quiesced.)
+    /// Snapshot of all records ordered by LSN.
     pub fn snapshot(&self) -> Vec<LogRecord> {
-        let mut v = self.records.lock().clone();
-        v.sort_by_key(|r| r.lsn);
-        v
+        self.records.lock().clone()
     }
 
     /// The log tail: every record with `lsn >= from`, ordered by LSN.
-    /// This is what a primary ships to answer a `CatchupFrom { from }`.
+    /// This is what a primary ships to answer a `CatchupFrom { from }`,
+    /// and what a shard node ships each loop iteration, so it costs a
+    /// binary search plus the tail's clones, not a pass over the log.
     pub fn tail_from(&self, from: u64) -> Vec<LogRecord> {
-        let mut v: Vec<LogRecord> = self
-            .records
-            .lock()
-            .iter()
-            .filter(|r| r.lsn >= from)
-            .cloned()
-            .collect();
-        v.sort_by_key(|r| r.lsn);
-        v
+        let records = self.records.lock();
+        let start = records.partition_point(|r| r.lsn < from);
+        records[start..].to_vec()
     }
 
     /// Extends the log with records shipped from a primary, keeping their
     /// original LSNs (a follower's log is a verbatim mirror, not a
-    /// re-numbering). Records this log already holds (an overlapping
-    /// retransmitted tail) are skipped. Advances `next_lsn` past the
-    /// highest appended LSN so a later promotion continues the primary's
-    /// sequence instead of reusing it.
+    /// re-numbering). `records` come LSN-ordered, as every tail does;
+    /// records this log already holds (an overlapping retransmitted
+    /// tail) are skipped. Advances `next_lsn` past the highest appended
+    /// LSN so a later promotion continues the primary's sequence instead
+    /// of reusing it.
     pub fn extend_shipped(&self, records: &[LogRecord]) {
         if records.is_empty() {
             return;
         }
         let mut guard = self.records.lock();
-        let have = self.next_lsn.load(Ordering::Relaxed);
-        let mut max = have;
+        let mut next = self.next_lsn.load(Ordering::Relaxed);
         for r in records {
-            if r.lsn < have {
+            if r.lsn < next {
                 continue;
             }
-            max = max.max(r.lsn + 1);
+            next = r.lsn + 1;
             guard.push(r.clone());
         }
-        self.next_lsn.fetch_max(max, Ordering::Relaxed);
+        self.next_lsn.store(next, Ordering::Relaxed);
     }
 
     /// Serializes the whole log to bytes ("what would hit disk") in the

@@ -14,11 +14,26 @@
 //! Links with zero latency and unlimited bandwidth skip clock reads
 //! entirely so OLTP-scale message rates are not throttled by `Instant::now`
 //! overhead.
+//!
+//! A receiver can also install a *waker* ([`LinkReceiver::set_waker`]): a
+//! channel the sender rings after every push, so an idle loop parks on
+//! it instead of polling (DESIGN.md §12). A link with no waker pays one
+//! atomic load per send for this.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crossbeam::channel::{bounded, Receiver as ChanReceiver, Sender as ChanSender};
+use parking_lot::Mutex;
 
 use crate::fault::{FaultAction, FaultSpec, FaultState, FaultStats};
 use crate::spsc::{spsc_channel, PopState, PushError, SpscConsumer, SpscProducer};
+
+/// The longest a receive parks on an empty link without re-checking it
+/// when no private waker covers the wait (the escalated backoff's sleep
+/// step).
+const PARK_SLICE: Duration = Duration::from_micros(50);
 
 /// Delivery model parameters for one link direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,14 +82,21 @@ impl SimLink {
     /// Creates a simulated link with the given spec and ring capacity.
     pub fn channel<T>(spec: LinkSpec, cap: usize) -> (LinkSender<T>, LinkReceiver<T>) {
         let (tx, rx) = spsc_channel(cap);
+        let bell = Arc::new(Doorbell::default());
         (
             LinkSender {
                 ring: tx,
                 spec,
                 busy_until: None,
                 faults: None,
+                bell: RingOnDrop(bell.clone()),
             },
-            LinkReceiver { ring: rx, spec },
+            LinkReceiver {
+                ring: rx,
+                spec,
+                bell,
+                parked_on: None,
+            },
         )
     }
 
@@ -88,6 +110,49 @@ impl SimLink {
         let (mut tx, rx) = Self::channel(spec, cap);
         tx.inject_faults(faults);
         (tx, rx)
+    }
+}
+
+/// The waker slot a link's two halves share.
+#[derive(Default)]
+struct Doorbell {
+    /// Set once a waker is installed; the sender's only cost without one.
+    armed: AtomicBool,
+    waker: Mutex<Option<ChanSender<()>>>,
+}
+
+impl Doorbell {
+    fn install(&self, waker: ChanSender<()>) {
+        *self.waker.lock() = Some(waker);
+        self.armed.store(true, Ordering::SeqCst);
+    }
+
+    /// Rings the installed waker, if any. A full waker already holds an
+    /// unconsumed ring, so a failed `try_send` loses nothing.
+    #[inline]
+    fn ring(&self) {
+        if self.armed.load(Ordering::SeqCst) {
+            self.ring_slow();
+        }
+    }
+
+    #[cold]
+    fn ring_slow(&self) {
+        if let Some(w) = &*self.waker.lock() {
+            let _ = w.try_send(());
+        }
+    }
+}
+
+/// The sender's handle on the doorbell. Declared after the ring in
+/// [`LinkSender`] so it drops after it: the final ring then finds the
+/// link already disconnected, and a receiver parked on the waker wakes
+/// to see that.
+struct RingOnDrop(Arc<Doorbell>);
+
+impl Drop for RingOnDrop {
+    fn drop(&mut self) {
+        self.0.ring();
     }
 }
 
@@ -105,12 +170,18 @@ pub struct LinkSender<T> {
     /// Armed fault plan; `None` (the default) costs nothing on the send
     /// path beyond one branch.
     faults: Option<Box<FaultState>>,
+    bell: RingOnDrop,
 }
 
 /// Receiving half of a simulated link. Single consumer.
 pub struct LinkReceiver<T> {
     ring: SpscConsumer<Timed<T>>,
     spec: LinkSpec,
+    bell: Arc<Doorbell>,
+    /// The receiving end of the waker [`LinkReceiver::recv_deadline`]
+    /// installed for itself; `None` until it first parks, or when the
+    /// caller installed its own with [`LinkReceiver::set_waker`].
+    parked_on: Option<ChanReceiver<()>>,
 }
 
 /// Result of a non-blocking receive.
@@ -186,7 +257,9 @@ impl<T> LinkSender<T> {
             .map_err(|e| match e {
                 PushError::Full(t) => PushError::Full(t.item),
                 PushError::Disconnected(t) => PushError::Disconnected(t.item),
-            })
+            })?;
+        self.bell.0.ring();
+        Ok(())
     }
 
     /// Sends, spinning under backpressure. Returns the item if the
@@ -200,7 +273,9 @@ impl<T> LinkSender<T> {
         let deliver_at = Self::spiked(self.compute_deliver_at(bytes), extra);
         self.ring
             .push_blocking(Timed { deliver_at, item })
-            .map_err(|t| t.item)
+            .map_err(|t| t.item)?;
+        self.bell.0.ring();
+        Ok(())
     }
 
     /// Bulk send: ships every item as one wire transfer of `total_bytes`.
@@ -294,7 +369,9 @@ impl<T> LinkSender<T> {
                     std::hint::spin_loop();
                     std::thread::yield_now();
                 }
-                Ok(_) => {}
+                // Ring per pushed chunk, not once at the end: a parked
+                // receiver must wake to make room for the rest.
+                Ok(_) => self.bell.0.ring(),
                 Err(_) => return Err(timed.len()),
             }
         }
@@ -371,21 +448,15 @@ impl<T> LinkReceiver<T> {
     /// disconnect. A message that is queued but still "in flight" puts
     /// the caller to sleep until its modeled delivery time — receivers
     /// must not burn a core waiting for the network, especially on small
-    /// hosts where that core belongs to the producer.
+    /// hosts where that core belongs to the producer. An empty link is
+    /// polled through the spin and yield steps of a [`Backoff`], then
+    /// waited on with the link's waker.
+    ///
+    /// [`Backoff`]: anydb_common::backoff::Backoff
     pub fn recv_blocking(&mut self) -> Option<T> {
-        let mut backoff = anydb_common::backoff::Backoff::new();
-        loop {
-            match self.try_recv() {
-                Ok(v) => return Some(v),
-                Err(RecvState::Disconnected) => return None,
-                Err(RecvState::NotReady(at)) => {
-                    let now = Instant::now();
-                    if at > now {
-                        std::thread::sleep(at - now);
-                    }
-                }
-                Err(RecvState::Empty) => backoff.wait(),
-            }
+        match self.recv_until(None) {
+            DeadlineRecv::Msg(v) => Some(v),
+            _ => None,
         }
     }
 
@@ -395,27 +466,74 @@ impl<T> LinkReceiver<T> {
     /// the wire's, decides. This is what failure detection (leases) and
     /// request retries are built on.
     pub fn recv_deadline(&mut self, deadline: Instant) -> DeadlineRecv<T> {
+        self.recv_until(Some(deadline))
+    }
+
+    fn recv_until(&mut self, deadline: Option<Instant>) -> DeadlineRecv<T> {
         let mut backoff = anydb_common::backoff::Backoff::new();
+        let passed = |now: Instant| deadline.is_some_and(|d| now >= d);
         loop {
             match self.try_recv() {
                 Ok(v) => return DeadlineRecv::Msg(v),
                 Err(RecvState::Disconnected) => return DeadlineRecv::Disconnected,
                 Err(RecvState::NotReady(at)) => {
                     let now = Instant::now();
-                    if now >= deadline {
+                    if passed(now) {
                         return DeadlineRecv::TimedOut;
                     }
-                    let until = at.min(deadline);
+                    let until = deadline.map_or(at, |d| at.min(d));
                     if until > now {
                         std::thread::sleep(until - now);
                     }
                 }
                 Err(RecvState::Empty) => {
-                    if Instant::now() >= deadline {
+                    if passed(Instant::now()) {
                         return DeadlineRecv::TimedOut;
                     }
-                    backoff.wait();
+                    if backoff.is_parked() {
+                        self.park(deadline);
+                    } else {
+                        backoff.wait();
+                    }
                 }
+            }
+        }
+    }
+
+    /// Installs `waker` on this link: from now on every push, and the
+    /// sender's drop, `try_send`s `()` into it. Several links may share
+    /// one waker, so one idle loop can wait on all of them. Give it
+    /// capacity 1 (`bounded(1)`): one pending ring is all a waiter needs.
+    /// Replaces any earlier waker.
+    ///
+    /// A push racing this call may not ring, so check the link once
+    /// after installing, and keep every wait bounded (DESIGN.md §12).
+    pub fn set_waker(&mut self, waker: ChanSender<()>) {
+        self.parked_on = None;
+        self.bell.install(waker);
+    }
+
+    /// Parks an empty-link receive until the next push rings the waker
+    /// or `deadline` passes. The first park installs a private waker and
+    /// caps its wait at [`PARK_SLICE`], which covers a push that raced
+    /// the install. With a caller-installed waker (one this receiver
+    /// cannot consume), each park is one [`PARK_SLICE`] sleep.
+    fn park(&mut self, deadline: Option<Instant>) {
+        let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        let slice = left.map_or(PARK_SLICE, |l| l.min(PARK_SLICE));
+        match &self.parked_on {
+            Some(wake) => {
+                let _ = match left {
+                    Some(left) => wake.recv_timeout(left).ok(),
+                    None => wake.recv().ok(),
+                };
+            }
+            None if self.bell.armed.load(Ordering::SeqCst) => std::thread::sleep(slice),
+            None => {
+                let (waker, wake) = bounded(1);
+                self.bell.install(waker);
+                let _ = wake.recv_timeout(slice);
+                self.parked_on = Some(wake);
             }
         }
     }
